@@ -79,13 +79,15 @@ func RunContext(ctx context.Context, eng *engine.Engine, q *Query, params map[st
 				rows = res.Analysis.Count
 			}
 		}
+		if err != nil {
+			telemetry.QueriesFailed.Inc()
+		}
 		telemetry.DefaultQueries.Complete(qi, rows, err)
 	}()
 
 	if q.Explain && q.Analyze {
 		a, aerr := AnalyzeQuery(ctx, eng, q, params)
 		if aerr != nil {
-			telemetry.QueriesFailed.Inc()
 			return nil, aerr
 		}
 		return &Result{Analysis: a}, nil
@@ -97,7 +99,6 @@ func RunContext(ctx context.Context, eng *engine.Engine, q *Query, params map[st
 	}
 	res, err = runAll(ctx, eng, q, params)
 	if err != nil {
-		telemetry.QueriesFailed.Inc()
 		// End the profiling root on the failure path too: leaving it open
 		// would wedge the trace tree for the next query on this context.
 		root.End()
@@ -359,15 +360,8 @@ func runOnce(ctx context.Context, eng *engine.Engine, q *Query, params map[strin
 		return nil, fmt.Errorf("cypher: shortestPath mixed with other pattern edges is not supported")
 	}
 
-	columns := make([]string, len(q.Return))
-	for i, item := range q.Return {
-		columns[i] = item.Column()
-	}
-
-	// Fast path: a single COUNT(DISTINCT …) over plain variables covering
-	// the whole pattern — the engine counts without materializing.
-	if len(q.Return) == 1 && q.Return[0].Agg == "count" && q.Return[0].Distinct &&
-		allPlainVars(q.Return[0].Args) && len(q.Return[0].Args) == len(b.pat.Vertices) && q.Unwind == nil {
+	columns := Columns(q)
+	if countOnlyShape(eng.Graph(), q, b) {
 		res, err := eng.MatchContext(ctx, b.pat, engine.MatchOptions{CountOnly: true})
 		if err != nil {
 			return nil, err
@@ -379,7 +373,15 @@ func runOnce(ctx context.Context, eng *engine.Engine, q *Query, params map[strin
 	if err != nil {
 		return nil, err
 	}
-	rows, err := project(ctx, eng, q, b, params, res)
+	p, err := newProjector(ctx, eng, q, b, params, res.Tuples)
+	if err != nil {
+		return nil, err
+	}
+	limit := q.Limit
+	if len(q.OrderBy) > 0 {
+		limit = 0
+	}
+	rows, err := p.drain(res.Tuples, limit)
 	if err != nil {
 		return nil, err
 	}
@@ -390,13 +392,20 @@ func runOnce(ctx context.Context, eng *engine.Engine, q *Query, params map[strin
 	return out, nil
 }
 
-func allPlainVars(args []Expr) bool {
-	for _, a := range args {
-		if a.IsLength || a.Prop != "" {
+// countOnlyShape reports whether q takes the count-only fast path: a
+// single COUNT(DISTINCT …) of bare pattern variables whose values are
+// distinct per tuple (distinctByTuple), so the engine counts tuples
+// without materializing them.
+func countOnlyShape(g *graph.Graph, q *Query, b *boundQuery) bool {
+	if q.Unwind != nil || len(q.Return) != 1 || q.Return[0].Agg != "count" || !q.Return[0].Distinct {
+		return false
+	}
+	for _, a := range q.Return[0].Args {
+		if _, ok := b.varIdx[a.Var]; !ok || a.IsLength || a.Prop != "" {
 			return false
 		}
 	}
-	return true
+	return b.distinctByTuple(g, q.Return[0].Args)
 }
 
 func runShortest(eng *engine.Engine, q *Query, b *boundQuery, params map[string]any) (*Result, error) {
@@ -419,17 +428,15 @@ func runShortest(eng *engine.Engine, q *Query, b *boundQuery, params map[string]
 	if err != nil {
 		return nil, err
 	}
-	columns := make([]string, len(q.Return))
 	row := make([]any, len(q.Return))
 	for i, item := range q.Return {
-		columns[i] = item.Column()
 		if len(item.Args) == 1 && item.Args[0].IsLength {
 			row[i] = int64(l)
 		} else {
 			return nil, fmt.Errorf("cypher: shortestPath queries may only return length(p)")
 		}
 	}
-	return &Result{Columns: columns, Rows: [][]any{row}, Timings: tm}, nil
+	return &Result{Columns: Columns(q), Rows: [][]any{row}, Timings: tm}, nil
 }
 
 func shortestVia(eng *engine.Engine, src, dst graph.VertexID, d pattern.Determiner) (int, engine.Timings, error) {
@@ -472,12 +479,7 @@ func AnalyzeQuery(ctx context.Context, eng *engine.Engine, q *Query, params map[
 	if b.shortest != nil {
 		return nil, fmt.Errorf("cypher: EXPLAIN ANALYZE does not support shortestPath")
 	}
-	// Mirror runOnce's COUNT(DISTINCT …) fast path so the analyzed
-	// execution is the one a plain run would take.
-	opts := engine.MatchOptions{}
-	if len(q.Return) == 1 && q.Return[0].Agg == "count" && q.Return[0].Distinct &&
-		allPlainVars(q.Return[0].Args) && len(q.Return[0].Args) == len(b.pat.Vertices) {
-		opts.CountOnly = true
-	}
+	// The analyzed execution is the one a plain run would take.
+	opts := engine.MatchOptions{CountOnly: countOnlyShape(eng.Graph(), q, b)}
 	return eng.ExplainAnalyze(ctx, b.pat, opts)
 }

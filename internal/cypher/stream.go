@@ -25,7 +25,11 @@ var errStreamLimit = errors.New("cypher: stream limit reached")
 // server-side result memory: a plain projection of pattern variables (bare
 // or property accesses) with no aggregation, ORDER BY, UNWIND,
 // shortestPath, or length() expressions, and not an EXPLAIN/PROFILE
-// variant. LIMIT is fine — the stream stops early.
+// variant. LIMIT is fine — the stream stops early. A streamed query
+// returns the same rows as RunContext: rows are distinct by projected
+// value, and only a projection that names every pattern vertex as a bare
+// variable, on a graph whose id values are unique (or that has no id
+// column), skips the dedup state and streams in constant memory.
 func Streamable(q *Query) bool {
 	if q.Explain || q.Analyze || q.Profile || q.Unwind != nil || len(q.OrderBy) > 0 {
 		return false
@@ -64,11 +68,13 @@ func Columns(q *Query) []string {
 
 // Stream executes a streamable query row-at-a-time: every projected row is
 // passed to emit, in join order, without materializing the result set. Rows
-// deduplicate exactly as the materializing path does (VertexSurge queries
-// return distinct rows, §2.2); when the projection covers every pattern
-// vertex with a bare variable, the engine's distinct-tuple guarantee makes
-// rows distinct by construction and no dedup state is kept at all —
-// server-side memory is then constant in the result cardinality.
+// pass through the same projector as RunContext's, so they are distinct by
+// projected value (VertexSurge queries return distinct rows, §2.2). The one
+// dedup rule: dedup is skipped only when every pattern vertex appears as a
+// bare variable and bare variables are unique per vertex — the graph has no
+// int64 id column, or no two vertices share an id. Rows are then distinct
+// by construction, no dedup state is kept, and server-side memory is
+// constant in the result cardinality.
 //
 // Stream has full registry/metrics parity with RunContext: it counts into
 // vs_queries_total/failed/in_flight, registers with
@@ -106,30 +112,34 @@ func Stream(ctx context.Context, eng *engine.Engine, q *Query, params map[string
 			telemetry.DefaultQueries.Complete(qi, rows, fmt.Errorf("panic: %v", r))
 			panic(r)
 		}
+		if err != nil {
+			telemetry.QueriesFailed.Inc()
+		}
 		telemetry.DefaultQueries.Complete(qi, rows, err)
 	}()
 
-	b, berr := bind(q, params)
-	if berr != nil {
-		telemetry.QueriesFailed.Inc()
-		return berr
+	b, err := bind(q, params)
+	if err != nil {
+		return err
 	}
-
-	proj := newStreamProjector(eng, q, b)
+	proj, err := newProjector(ctx, eng, q, b, params, nil)
+	if err != nil {
+		return err
+	}
 	limit := int64(q.Limit)
 	var stopErr error
 	runErr := eng.MatchForEachOpts(ctx, b.pat, engine.MatchOptions{}, func(tuple []graph.VertexID) {
 		if stopErr != nil {
 			return // unwinding: the engine notices the canceled ctx shortly
 		}
-		row, dup, perr := proj.row(tuple)
+		row, perr := proj.add(tuple)
 		if perr != nil {
 			stopErr = perr
 			cancel()
 			return
 		}
-		if dup {
-			return
+		if row == nil {
+			return // already emitted
 		}
 		if eerr := emit(ctx, row); eerr != nil {
 			stopErr = eerr
@@ -144,99 +154,10 @@ func Stream(ctx context.Context, eng *engine.Engine, q *Query, params map[string
 	})
 	switch {
 	case stopErr == errStreamLimit:
-		err = nil // LIMIT satisfied; the induced cancellation is not a failure
+		return nil // LIMIT satisfied; the induced cancellation is not a failure
 	case stopErr != nil:
-		err = stopErr
+		return stopErr
 	default:
-		err = runErr
+		return runErr
 	}
-	if err != nil {
-		telemetry.QueriesFailed.Inc()
-	}
-	return err
-}
-
-// streamProjector evaluates the projection for one tuple at a time. Rows
-// deduplicate through a seen-set unless the projection provably yields
-// distinct rows (every pattern vertex appears as a bare variable — then the
-// row determines the tuple, and tuples are distinct).
-type streamProjector struct {
-	eng   *engine.Engine
-	q     *Query
-	b     *boundQuery
-	ids   graph.Int64Column
-	hasID bool
-	dedup bool
-	seen  map[string]bool
-}
-
-func newStreamProjector(eng *engine.Engine, q *Query, b *boundQuery) *streamProjector {
-	p := &streamProjector{eng: eng, q: q, b: b}
-	p.ids, p.hasID = eng.Graph().Prop("id").(graph.Int64Column)
-
-	covered := make([]bool, len(b.pat.Vertices))
-	for _, item := range q.Return {
-		for _, a := range item.Args {
-			if a.Prop != "" || a.IsLength {
-				continue
-			}
-			if idx, ok := b.varIdx[a.Var]; ok {
-				covered[idx] = true
-			}
-		}
-	}
-	for _, c := range covered {
-		if !c {
-			p.dedup = true
-			break
-		}
-	}
-	if p.dedup {
-		p.seen = map[string]bool{}
-	}
-	return p
-}
-
-// row projects one tuple into a freshly allocated output row (the consumer
-// retains it), reporting dup=true for a row already emitted.
-func (p *streamProjector) row(tuple []graph.VertexID) (row []any, dup bool, err error) {
-	row = make([]any, len(p.q.Return))
-	for i, item := range p.q.Return {
-		v, err := p.eval(item.Args[0], tuple)
-		if err != nil {
-			return nil, false, err
-		}
-		row[i] = v
-	}
-	if p.dedup {
-		k := rowKey(row)
-		if p.seen[k] {
-			return nil, true, nil
-		}
-		p.seen[k] = true
-	}
-	return row, false, nil
-}
-
-// eval mirrors the materializing projector's expression evaluation for the
-// streamable subset: bare variables and property accesses.
-func (p *streamProjector) eval(e Expr, tuple []graph.VertexID) (any, error) {
-	idx, ok := p.b.varIdx[e.Var]
-	if !ok {
-		return nil, fmt.Errorf("cypher: unknown variable %q", e.Var)
-	}
-	v := tuple[idx]
-	if e.Prop != "" {
-		col := p.eng.Graph().Prop(e.Prop)
-		if col == nil {
-			return nil, fmt.Errorf("cypher: unknown property %q", e.Prop)
-		}
-		return col.Value(int(v)), nil
-	}
-	// A bare variable projects the vertex's id property when present, else
-	// its internal index — identical to the materializing path.
-	if p.hasID {
-		return p.ids[v], nil
-	}
-	return int64(v), nil
 }

@@ -186,6 +186,39 @@ func (e *Engine) Match(pat *pattern.Pattern, opts MatchOptions) (*MatchResult, e
 // Every completed Match also feeds the per-stage latency histograms and
 // expand matrix byte counter of the default metrics registry.
 func (e *Engine) MatchContext(ctx context.Context, pat *pattern.Pattern, opts MatchOptions) (*MatchResult, error) {
+	return e.match(ctx, pat, opts, e.collect(opts))
+}
+
+// MatchForEach runs the pattern and streams every distinct matched tuple
+// to fn, in pattern declaration order, without materializing the result
+// set. The tuple slice is reused between calls — copy it to retain it.
+// Streaming runs the join serially (no seed partitioning), but independent
+// expands still schedule concurrently.
+func (e *Engine) MatchForEach(pat *pattern.Pattern, fn func(tuple []graph.VertexID)) error {
+	return e.MatchForEachOpts(context.Background(), pat, MatchOptions{}, fn)
+}
+
+// MatchForEachOpts is MatchForEach with trace propagation (see
+// MatchContext for the span model) honoring MatchOptions: Order forces the
+// join order (planner ablation) and Limit stops the stream after that many
+// tuples. CountOnly is meaningless when streaming (fn receives the tuples)
+// and is ignored. A stream runs the same pipeline as Match, so it feeds the
+// metrics registry, the query registry's phases and the stats sink alike.
+func (e *Engine) MatchForEachOpts(ctx context.Context, pat *pattern.Pattern, opts MatchOptions, fn func(tuple []graph.VertexID)) error {
+	_, err := e.match(ctx, pat, opts, stream(opts, fn))
+	return err
+}
+
+// joinFunc consumes the pipeline's join, the one step in which Match and
+// MatchForEach differ. It runs the join over in — or, for a single-vertex
+// pattern (in == nil), takes the candidates as the matches — and records
+// Count, Tuples and the join's stage timings in res.
+type joinFunc func(ctx context.Context, plan *planner.Plan, in *mintersect.Input, res *MatchResult) error
+
+// match is the one execution pipeline behind Match and MatchForEach:
+// plan → registry phases → lower → DAG → assemble → join → recordMatch →
+// stats sink.
+func (e *Engine) match(ctx context.Context, pat *pattern.Pattern, opts MatchOptions, join joinFunc) (*MatchResult, error) {
 	start := time.Now()
 	qi := telemetry.CurrentQuery(ctx)
 	// With a stats sink attached, wrap the match in its own span subtree so
@@ -228,64 +261,136 @@ func (e *Engine) MatchContext(ctx context.Context, pat *pattern.Pattern, opts Ma
 	// operator boundaries — attribute it here.
 	qi.AddCPUNanos(int64(res.Timings.Scan))
 
-	n := len(pat.Vertices)
-	if n == 1 {
-		// Degenerate single-vertex pattern: candidates are the matches.
-		for _, v := range plan.CandList[0] {
-			res.Count++
-			if !opts.CountOnly {
-				res.Tuples = append(res.Tuples, []graph.VertexID{v})
-			}
-			if opts.Limit > 0 && res.Count >= opts.Limit {
-				break
-			}
-		}
-		res.Timings.Total = time.Since(start)
-		e.recordMatch(res)
-		e.observeStats(sink, ssp, qi, pat, res)
-		return res, nil
-	}
-
-	// Lower the plan into its physical-operator DAG and schedule it:
-	// independent expands run concurrently (bounded by Options.Workers),
-	// the intersect waits on all of them, the aggregate on the intersect.
 	qi.SetPhase(telemetry.PhaseExecute)
-	qc := exec.NewQueryContext(ctx, e.acct, e.opts.Workers)
-	expandOps, dag, expandNodes := e.lowerExpands(plan)
-	iop := &exec.IntersectOp{
-		NumPatternVertices: n,
-		FirstCols:          plan.CandList[plan.Order[0]],
-		RowCandidates:      rowCandidates(plan),
-		Opts: mintersect.Options{
-			CountOnly: opts.CountOnly,
-			Limit:     opts.Limit,
-			Workers:   e.opts.Workers,
-		},
-	}
-	for i := range plan.Edges {
-		pe := &plan.Edges[i]
-		iop.Edges = append(iop.Edges, exec.JoinEdge{
-			EarlierPos: pe.EarlierPos, LaterPos: pe.LaterPos, Src: expandOps[i],
-		})
-	}
-	inode := dag.Add(iop, expandNodes...)
-	aop := &exec.AggregateOp{Intersect: iop, Order: plan.Order, N: n, CountOnly: opts.CountOnly}
-	dag.Add(aop, inode)
-
-	if err := dag.Run(qc); err != nil {
+	if err := e.execute(ctx, plan, len(pat.Vertices), join, res); err != nil {
 		ssp.End()
 		return nil, err
 	}
-
-	collectExpandStats(res, expandOps)
-	res.Timings.Intersect = iop.Wall
-	res.Timings.Aggregate = aop.Wall
-	res.Count = aop.Count
-	res.Tuples = aop.Tuples
 	res.Timings.Total = time.Since(start)
 	e.recordMatch(res)
 	e.observeStats(sink, ssp, qi, pat, res)
 	return res, nil
+}
+
+// execute lowers the plan into its physical-operator DAG and schedules it
+// — independent expands run concurrently, bounded by Options.Workers —
+// then assembles the join input and hands it to join on this goroutine.
+func (e *Engine) execute(ctx context.Context, plan *planner.Plan, n int, join joinFunc, res *MatchResult) error {
+	qc := exec.NewQueryContext(ctx, e.acct, e.opts.Workers)
+	var in *mintersect.Input
+	if n > 1 {
+		expandOps, dag := e.lowerExpands(plan)
+		if err := dag.Run(qc); err != nil {
+			return err
+		}
+		collectExpandStats(res, expandOps)
+		var cloned int64
+		var err error
+		in, cloned, err = exec.AssembleJoin(qc, plan, expandOps)
+		defer e.acct.Release(cloned)
+		if err != nil {
+			return err
+		}
+	}
+	t0 := time.Now()
+	err := join(ctx, plan, in, res)
+	// The join runs on this goroutine, outside the scheduler's operator
+	// boundaries — attribute its busy time here.
+	qc.Query().AddCPUNanos(int64(time.Since(t0)))
+	return err
+}
+
+// collect is Match's join consumer: the seed-partitioned parallel join,
+// then the reorder of its join-order tuples into declaration order.
+func (e *Engine) collect(opts MatchOptions) joinFunc {
+	return func(ctx context.Context, plan *planner.Plan, in *mintersect.Input, res *MatchResult) error {
+		if in == nil {
+			// A single-vertex pattern has no join to parallelize: collect
+			// its matches through the stream consumer.
+			return stream(opts, func(tuple []graph.VertexID) {
+				if !opts.CountOnly {
+					res.Tuples = append(res.Tuples, []graph.VertexID{tuple[0]})
+				}
+			})(ctx, plan, in, res)
+		}
+		t0 := time.Now()
+		jr, err := mintersect.RunContext(ctx, in, mintersect.Options{
+			CountOnly: opts.CountOnly,
+			Limit:     opts.Limit,
+			Workers:   e.opts.Workers,
+		})
+		if err != nil {
+			return err
+		}
+		res.Timings.Intersect = time.Since(t0)
+
+		t1 := time.Now()
+		_, sp := telemetry.StartSpan(ctx, "aggregate")
+		res.Count = jr.Count
+		if !opts.CountOnly {
+			// The join's tuples are private copies: reorder them in place.
+			buf := make([]graph.VertexID, len(plan.Order))
+			for _, tup := range jr.Tuples {
+				for pos, v := range tup {
+					buf[plan.Order[pos]] = v
+				}
+				copy(tup, buf)
+			}
+			res.Tuples = jr.Tuples
+		}
+		sp.SetInt("tuples", res.Count)
+		sp.End()
+		telemetry.CurrentQuery(ctx).AddRows(res.Count)
+		res.Timings.Aggregate = time.Since(t1)
+		return nil
+	}
+}
+
+// stream is MatchForEach's join consumer: the serial join, each tuple
+// reordered into declaration order and handed to fn as it is found.
+func stream(opts MatchOptions, fn func(tuple []graph.VertexID)) joinFunc {
+	return func(ctx context.Context, plan *planner.Plan, in *mintersect.Input, res *MatchResult) error {
+		// Rows count live, per delivered tuple, so SHOW QUERIES and
+		// /debug/queries report a streaming query's progress while the
+		// client is still fetching (fn may block on transport backpressure
+		// between tuples).
+		qi := telemetry.CurrentQuery(ctx)
+		buf := make([]graph.VertexID, len(plan.Order))
+		if in == nil {
+			// Single-vertex pattern: the candidates are the matches.
+			for _, v := range plan.CandList[0] {
+				if opts.Limit > 0 && res.Count >= opts.Limit {
+					break
+				}
+				buf[0] = v
+				fn(buf)
+				qi.AddRows(1)
+				res.Count++
+			}
+			return nil
+		}
+		t0 := time.Now()
+		var jr mintersect.Result
+		err := mintersect.ForEachContext(ctx, in, mintersect.Options{Limit: opts.Limit}, func(tuple []graph.VertexID) {
+			for pos, v := range tuple {
+				buf[plan.Order[pos]] = v
+			}
+			fn(buf)
+			qi.AddRows(1)
+		}, &jr)
+		res.Timings.Intersect = time.Since(t0)
+		res.Count = jr.Count
+		if err != nil {
+			return err
+		}
+		// The reorder ran inside the join; its span carries the delivered
+		// tuple count so EXPLAIN ANALYZE and the stats sink see the same
+		// operators for a stream as for a materialized match.
+		_, sp := telemetry.StartSpan(ctx, "aggregate")
+		sp.SetInt("tuples", res.Count)
+		sp.End()
+		return nil
+	}
 }
 
 // observeStats ends the stats span subtree and appends the match's
@@ -302,7 +407,7 @@ func (e *Engine) observeStats(sink *StatsSink, ssp *telemetry.Span, qi *telemetr
 // lowerExpands builds one ExpandOp per distinct expansion of the plan
 // (planner.Plan.Operators' dedup — the §2.3.2 symmetry memo as DAG
 // construction) and returns, per planned edge, the op serving it.
-func (e *Engine) lowerExpands(plan *planner.Plan) (perEdge []*exec.ExpandOp, dag *exec.DAG, nodes []*exec.Node) {
+func (e *Engine) lowerExpands(plan *planner.Plan) (perEdge []*exec.ExpandOp, dag *exec.DAG) {
 	dag = exec.NewDAG()
 	perEdge = make([]*exec.ExpandOp, len(plan.Edges))
 	for _, spec := range plan.Operators() {
@@ -330,19 +435,9 @@ func (e *Engine) lowerExpands(plan *planner.Plan) (perEdge []*exec.ExpandOp, dag
 			op.Edges = append(op.Edges, plan.Edges[ei].PatternEdge)
 			perEdge[ei] = op
 		}
-		nodes = append(nodes, dag.Add(op))
+		dag.Add(op)
 	}
-	return perEdge, dag, nodes
-}
-
-// rowCandidates lists the candidates per join position (position 0 unused).
-func rowCandidates(plan *planner.Plan) [][]graph.VertexID {
-	n := len(plan.Order)
-	rows := make([][]graph.VertexID, n)
-	for t := 1; t < n; t++ {
-		rows[t] = plan.CandList[plan.Order[t]]
-	}
-	return rows
+	return perEdge, dag
 }
 
 // collectExpandStats accumulates stats and stage timings from the expand
@@ -368,123 +463,13 @@ func collectExpandStats(res *MatchResult, ops []*exec.ExpandOp) {
 	}
 }
 
-// recordMatch feeds one completed Match into the metrics registry.
+// recordMatch feeds one completed match into the metrics registry.
 func (e *Engine) recordMatch(res *MatchResult) {
 	t := res.Timings
 	telemetry.ObserveStages(t.Scan, t.Expand, t.UpdateVisit, t.Intersect, t.Aggregate, t.Total)
 	if res.ExpandStats.MatrixBytes > 0 {
 		telemetry.ExpandMatrixBytes.Add(res.ExpandStats.MatrixBytes)
 	}
-}
-
-// MatchForEach runs the pattern and streams every distinct matched tuple
-// to fn, in pattern declaration order, without materializing the result
-// set. The tuple slice is reused between calls — copy it to retain it.
-// Streaming runs the join serially (no seed partitioning), but independent
-// expands still schedule concurrently.
-func (e *Engine) MatchForEach(pat *pattern.Pattern, fn func(tuple []graph.VertexID)) error {
-	return e.MatchForEachContext(context.Background(), pat, fn)
-}
-
-// MatchForEachContext is MatchForEach with trace propagation (see
-// MatchContext for the span model). Like MatchContext, every completed
-// stream feeds the per-stage latency histograms and expand byte counters.
-func (e *Engine) MatchForEachContext(ctx context.Context, pat *pattern.Pattern, fn func(tuple []graph.VertexID)) error {
-	return e.MatchForEachOpts(ctx, pat, MatchOptions{}, fn)
-}
-
-// MatchForEachOpts is MatchForEachContext honoring MatchOptions: Order
-// forces the join order (planner ablation) and Limit stops the stream
-// after that many tuples. CountOnly is meaningless when streaming (fn
-// receives the tuples) and is ignored.
-func (e *Engine) MatchForEachOpts(ctx context.Context, pat *pattern.Pattern, opts MatchOptions, fn func(tuple []graph.VertexID)) error {
-	start := time.Now()
-	res := &MatchResult{}
-
-	t0 := time.Now()
-	_, psp := telemetry.StartSpan(ctx, "plan")
-	var plan *planner.Plan
-	var err error
-	if opts.Order != nil {
-		plan, err = planner.BuildOrdered(e.g, pat, opts.Order)
-	} else {
-		plan, err = planner.Build(e.g, pat)
-	}
-	psp.End()
-	if err != nil {
-		return err
-	}
-	res.Plan = plan
-	res.Timings.Scan = time.Since(t0)
-
-	qi := telemetry.CurrentQuery(ctx)
-	n := len(pat.Vertices)
-	if n == 1 {
-		buf := make([]graph.VertexID, 1)
-		for _, v := range plan.CandList[0] {
-			buf[0] = v
-			fn(buf)
-			qi.AddRows(1)
-			res.Count++
-			if opts.Limit > 0 && res.Count >= opts.Limit {
-				break
-			}
-		}
-		res.Timings.Total = time.Since(start)
-		e.recordMatch(res)
-		return nil
-	}
-
-	// Schedule the expand operators through the DAG (concurrent when
-	// independent), then stream the join serially on this goroutine.
-	qc := exec.NewQueryContext(ctx, e.acct, e.opts.Workers)
-	expandOps, dag, _ := e.lowerExpands(plan)
-	iop := &exec.IntersectOp{
-		NumPatternVertices: n,
-		FirstCols:          plan.CandList[plan.Order[0]],
-		RowCandidates:      rowCandidates(plan),
-	}
-	for i := range plan.Edges {
-		pe := &plan.Edges[i]
-		iop.Edges = append(iop.Edges, exec.JoinEdge{
-			EarlierPos: pe.EarlierPos, LaterPos: pe.LaterPos, Src: expandOps[i],
-		})
-	}
-	if err := dag.Run(qc); err != nil {
-		return err
-	}
-	collectExpandStats(res, expandOps)
-
-	in, cloned, err := iop.Assemble(qc)
-	if err != nil {
-		return err
-	}
-	defer e.acct.Release(cloned)
-
-	t1 := time.Now()
-	buf := make([]graph.VertexID, n)
-	var jr mintersect.Result
-	// Rows count live, per delivered tuple, so SHOW QUERIES and /debug/queries
-	// report a streaming query's progress while the client is still fetching
-	// (fn may block on transport backpressure between tuples).
-	err = mintersect.ForEachContext(ctx, in, mintersect.Options{Limit: opts.Limit}, func(tuple []graph.VertexID) {
-		for pos, v := range tuple {
-			buf[plan.Order[pos]] = v
-		}
-		fn(buf)
-		qi.AddRows(1)
-	}, &jr)
-	res.Timings.Intersect = time.Since(t1)
-	res.Count = jr.Count
-	res.Timings.Total = time.Since(start)
-	// The streaming join runs on this goroutine, outside the scheduler —
-	// attribute its busy time here.
-	qc.Query().AddCPUNanos(int64(res.Timings.Intersect))
-	if err != nil {
-		return err
-	}
-	e.recordMatch(res)
-	return nil
 }
 
 // Expand exposes the VExpand operator directly: reachability from sources

@@ -7,9 +7,11 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/pattern"
 	"repro/internal/telemetry"
 )
@@ -260,5 +262,64 @@ func TestStatsSinkCloseSyncs(t *testing.T) {
 	// The file still gets closed even when Sync fails.
 	if len(sc2.calls) != 2 || sc2.calls[1] != "close" {
 		t.Fatalf("Close sequence on sync failure = %v", sc2.calls)
+	}
+}
+
+// TestStatsSinkStreamMatchesMaterialized pins that a streamed match runs
+// the same pipeline as a materialized one: with a sink attached,
+// MatchForEach appends the same per-operator records as Match.
+func TestStatsSinkStreamMatchesMaterialized(t *testing.T) {
+	g := socialGraph(t)
+	d := knowsDet(1, 2)
+	pat := &pattern.Pattern{
+		Vertices: []pattern.Vertex{
+			{Name: "a", Labels: []string{"SIGA"}},
+			{Name: "b", Labels: []string{"SIGB"}},
+			{Name: "c", Labels: []string{"SIGC"}},
+		},
+		Edges: []pattern.Edge{
+			{Src: "a", Dst: "b", D: d},
+			{Src: "b", Dst: "c", D: d},
+			{Src: "a", Dst: "c", D: d},
+		},
+	}
+	type op struct {
+		Op, Detail, Memo string
+		EstRows          float64
+		ActualRows       int64
+	}
+	records := func(run func(e *Engine) error) []op {
+		t.Helper()
+		e := New(g, Options{})
+		var buf bytes.Buffer
+		e.SetStatsSink(NewStatsSink(&buf))
+		if err := run(e); err != nil {
+			t.Fatal(err)
+		}
+		var ops []op
+		dec := json.NewDecoder(&buf)
+		for {
+			var rec StatsObservation
+			if err := dec.Decode(&rec); err == io.EOF {
+				break
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			ops = append(ops, op{rec.Op, rec.Detail, rec.Memo, rec.EstRows, rec.ActualRows})
+		}
+		return ops
+	}
+	want := records(func(e *Engine) error {
+		_, err := e.Match(pat, MatchOptions{})
+		return err
+	})
+	got := records(func(e *Engine) error {
+		return e.MatchForEach(pat, func([]graph.VertexID) {})
+	})
+	if len(want) == 0 {
+		t.Fatal("Match appended no records")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("MatchForEach records differ from Match:\n got  %+v\n want %+v", got, want)
 	}
 }

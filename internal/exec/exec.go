@@ -1,14 +1,14 @@
 // Package exec is VertexSurge's physical execution layer: a per-query
-// QueryContext (deadline, cancellation, memory budget, trace), physical
-// operators (ExpandOp, IntersectOp, AggregateOp), and a small
-// dependency-aware scheduler that runs independent operators concurrently.
+// QueryContext (deadline, cancellation, memory budget, trace), the
+// ExpandOp physical operator, AssembleJoin, which builds MIntersect's input
+// from expansion results, and a small dependency-aware scheduler that runs
+// independent operators concurrently.
 //
 // The engine lowers a planner.Plan into a DAG — one ExpandOp per distinct
-// expansion, an IntersectOp depending on all of them, an AggregateOp
-// depending on the intersect — and Run schedules it: every operator whose
-// dependencies completed is eligible, and eligible operators execute in
-// parallel bounded by the worker count. Independent VExpands therefore
-// overlap, which the serial edge loop the paper describes (§5) never did.
+// expansion — and Run schedules it: every operator whose dependencies
+// completed is eligible, and eligible operators execute in parallel
+// bounded by the worker count. Independent VExpands therefore overlap,
+// which the serial edge loop the paper describes (§5) never did.
 package exec
 
 import (

@@ -7,6 +7,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mintersect"
 	"repro/internal/pattern"
+	"repro/internal/planner"
 	"repro/internal/telemetry"
 	"repro/internal/vexpand"
 )
@@ -123,65 +124,21 @@ func annotateShared(sp *telemetry.Span, r *vexpand.Result, sources []graph.Verte
 	sp.SetInt("pairs", int64(r.PairCount()))
 }
 
-// JoinEdge ties one planned edge's join-order position pair to the
-// ExpandOp that computes its matrix.
-type JoinEdge struct {
-	EarlierPos, LaterPos int
-	Src                  *ExpandOp
-}
-
-// IntersectOp assembles the MIntersect input from its dependency ExpandOps
-// and runs the Generic Join. Parallel edges sharing one (earlier, later)
-// position pair AND into a private clone (copy-on-AND): single-use
-// matrices are shared with the expansion result — and possibly the cache —
-// without copying.
-type IntersectOp struct {
-	NumPatternVertices int
-	FirstCols          []graph.VertexID
-	RowCandidates      [][]graph.VertexID
-	Edges              []JoinEdge
-	Opts               mintersect.Options
-
-	// Result and Wall are set by Run.
-	Result *mintersect.Result
-	Wall   time.Duration
-}
-
-// Name implements Op.
-func (op *IntersectOp) Name() string { return "intersect" }
-
-// Run implements Op.
-func (op *IntersectOp) Run(qc *QueryContext) error {
-	in, cloned, err := op.assemble(qc)
-	if err != nil {
-		return err
-	}
-	defer qc.Budget().Release(cloned)
-	t0 := time.Now()
-	res, err := mintersect.RunContext(qc.Context(), in, op.Opts)
-	if err != nil {
-		return err
-	}
-	op.Wall = time.Since(t0)
-	op.Result = res
-	return nil
-}
-
-// Assemble builds the MIntersect input without running the join — the
-// streaming path (MatchForEach) drives mintersect.ForEach itself. The
-// caller must Release the returned clone bytes on qc's budget when the
-// join is done.
-func (op *IntersectOp) Assemble(qc *QueryContext) (*mintersect.Input, int64, error) {
-	return op.assemble(qc)
-}
-
-func (op *IntersectOp) assemble(qc *QueryContext) (*mintersect.Input, int64, error) {
+// AssembleJoin builds the MIntersect input of plan's Generic Join once the
+// DAG has run its ExpandOps (perEdge[i] computes plan.Edges[i]); the
+// engine then drives the join itself, collecting or streaming. Parallel
+// edges sharing one (earlier, later) position pair AND into a private
+// clone (copy-on-AND): single-use matrices are shared with the expansion
+// result — and possibly the cache — without copying. It returns the bytes
+// it cloned and reserved on qc's budget, also on error; the caller
+// releases them when the join is done.
+func AssembleJoin(qc *QueryContext, plan *planner.Plan, perEdge []*ExpandOp) (*mintersect.Input, int64, error) {
 	type key struct{ earlier, later int }
 	matrices := make(map[key]*bitMatrix)
 	cloned := int64(0)
-	for _, je := range op.Edges {
-		r := je.Src.Result
-		k := key{je.EarlierPos, je.LaterPos}
+	for i, pe := range plan.Edges {
+		r := perEdge[i].Result
+		k := key{pe.EarlierPos, pe.LaterPos}
 		if m, ok := matrices[k]; ok {
 			n, err := m.andShared(r.Reach, qc.Budget())
 			cloned += n
@@ -193,12 +150,15 @@ func (op *IntersectOp) assemble(qc *QueryContext) (*mintersect.Input, int64, err
 		}
 	}
 
-	n := op.NumPatternVertices
+	n := len(plan.Order)
 	in := &mintersect.Input{
 		NumPatternVertices: n,
-		FirstCols:          op.FirstCols,
-		RowCandidates:      op.RowCandidates,
+		FirstCols:          plan.CandList[plan.Order[0]],
+		RowCandidates:      make([][]graph.VertexID, n),
 		Ext:                make([][]*mintersect.EdgeMatrix, n),
+	}
+	for t := 1; t < n; t++ {
+		in.RowCandidates[t] = plan.CandList[plan.Order[t]]
 	}
 	for k, m := range matrices {
 		em := &mintersect.EdgeMatrix{EarlierPos: k.earlier, M: m.m}
@@ -260,46 +220,4 @@ func (m *bitMatrix) promote(budget *Accountant) (int64, error) {
 	m.m = m.m.Clone()
 	m.owned = true
 	return size, nil
-}
-
-// AggregateOp reorders join-order tuples back to pattern declaration
-// order — the final DAG node.
-type AggregateOp struct {
-	Intersect *IntersectOp
-	// Order maps join position → pattern-vertex index; N is the pattern
-	// vertex count.
-	Order     []int
-	N         int
-	CountOnly bool
-
-	// Tuples, Count, and Wall are set by Run.
-	Tuples [][]graph.VertexID
-	Count  int64
-	Wall   time.Duration
-}
-
-// Name implements Op.
-func (op *AggregateOp) Name() string { return "aggregate" }
-
-// Run implements Op.
-func (op *AggregateOp) Run(qc *QueryContext) error {
-	jr := op.Intersect.Result
-	t0 := time.Now()
-	_, sp := telemetry.StartSpan(qc.Context(), "aggregate")
-	op.Count = jr.Count
-	if !op.CountOnly {
-		op.Tuples = make([][]graph.VertexID, len(jr.Tuples))
-		for i, tup := range jr.Tuples {
-			out := make([]graph.VertexID, op.N)
-			for pos, v := range tup {
-				out[op.Order[pos]] = v
-			}
-			op.Tuples[i] = out
-		}
-	}
-	sp.SetInt("tuples", op.Count)
-	sp.End()
-	qc.query.AddRows(op.Count)
-	op.Wall = time.Since(t0)
-	return nil
 }

@@ -288,9 +288,8 @@ type Graph struct {
 	edgeOrder  []string
 	epoch      uint64
 
-	idIndexOnce sync.Once
-	idIndex     map[string]map[int64]VertexID
-	idIndexMu   sync.Mutex
+	idIndex   map[string]map[int64]VertexID
+	idIndexMu sync.Mutex
 }
 
 // nextEpoch numbers every Graph built in this process; see Epoch.
@@ -396,6 +395,25 @@ func (g *Graph) AvgDegree(labels []string) float64 {
 // The first call per property builds a hash index; subsequent lookups are
 // O(1).
 func (g *Graph) FindByInt64(name string, v int64) (VertexID, bool) {
+	idx := g.int64Index(name)
+	if idx == nil {
+		return 0, false
+	}
+	id, ok := idx[v]
+	return id, ok
+}
+
+// Int64Unique reports whether the int64 property `name` exists and no two
+// vertices share a value of it: the FindByInt64 index then has as many
+// entries as the column has rows.
+func (g *Graph) Int64Unique(name string) bool {
+	col, ok := g.props[name].(Int64Column)
+	return ok && len(g.int64Index(name)) == len(col)
+}
+
+// int64Index returns the value → vertex index of the int64 property name,
+// building it on first use; nil when the property is not an int64 column.
+func (g *Graph) int64Index(name string) map[int64]VertexID {
 	g.idIndexMu.Lock()
 	defer g.idIndexMu.Unlock()
 	if g.idIndex == nil {
@@ -405,7 +423,7 @@ func (g *Graph) FindByInt64(name string, v int64) (VertexID, bool) {
 	if !ok {
 		col, isInt := g.props[name].(Int64Column)
 		if !isInt {
-			return 0, false
+			return nil
 		}
 		idx = make(map[int64]VertexID, len(col))
 		for i, val := range col {
@@ -413,8 +431,7 @@ func (g *Graph) FindByInt64(name string, v int64) (VertexID, bool) {
 		}
 		g.idIndex[name] = idx
 	}
-	id, ok := idx[v]
-	return id, ok
+	return idx
 }
 
 // SizeBytes estimates the in-memory footprint of the graph: edge arrays,

@@ -159,6 +159,21 @@ func TestProps(t *testing.T) {
 	}
 }
 
+// TestInt64Unique pins the uniqueness test bare-variable projections rely
+// on: true only for an int64 column without repeated values.
+func TestInt64Unique(t *testing.T) {
+	g := NewBuilder(3).
+		SetProp("id", Int64Column{7, 7, 8}).
+		SetProp("u", Int64Column{1, 2, 3}).
+		SetProp("s", StringColumn{"a", "b", "c"}).
+		MustBuild()
+	for name, want := range map[string]bool{"id": false, "u": true, "s": false, "nope": false} {
+		if got := g.Int64Unique(name); got != want {
+			t.Errorf("Int64Unique(%q) = %v, want %v", name, got, want)
+		}
+	}
+}
+
 func TestBuilderErrors(t *testing.T) {
 	if _, err := NewBuilder(3).AddEdge("e", 0, 5).Build(); err == nil {
 		t.Fatal("out-of-range edge not rejected")

@@ -3,9 +3,11 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -203,5 +205,65 @@ func TestNormalizeValue(t *testing.T) {
 				t.Errorf("normalizeValue(%#v) = %#v, want %#v", c.in, got, c.want)
 			}
 		})
+	}
+}
+
+// TestJSONAndNDJSONAgreeOnDuplicateIDs pins the dedup rule across both
+// HTTP response shapes: vertices 0 and 1 share id 7, so the three matches
+// of (a)-[:k]->(b) project to two distinct rows whether the response is
+// materialized JSON or streamed NDJSON.
+func TestJSONAndNDJSONAgreeOnDuplicateIDs(t *testing.T) {
+	b := graph.NewBuilder(4)
+	for v := 0; v < 4; v++ {
+		b.SetLabel(graph.VertexID(v), "P")
+	}
+	b.AddEdge("k", 0, 2)
+	b.AddEdge("k", 1, 2)
+	b.AddEdge("k", 2, 3)
+	b.SetProp("id", graph.Int64Column{7, 7, 8, 9})
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(New(engine.New(g, engine.Options{})))
+	t.Cleanup(srv.Close)
+	const query = `MATCH (a:P)-[:k]->(b:P) RETURN a, b`
+	want := [][]any{{7.0, 8.0}, {8.0, 9.0}}
+	sortRows := func(rows [][]any) {
+		sort.Slice(rows, func(i, j int) bool { return fmt.Sprint(rows[i]) < fmt.Sprint(rows[j]) })
+	}
+
+	resp, body := post(t, srv, "/query", QueryRequest{Query: query})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("JSON status %d: %s", resp.StatusCode, body)
+	}
+	var qr QueryResponse
+	if err := json.Unmarshal(body, &qr); err != nil {
+		t.Fatal(err)
+	}
+	sortRows(qr.Rows)
+	if !reflect.DeepEqual(qr.Rows, want) {
+		t.Fatalf("JSON rows = %v, want %v", qr.Rows, want)
+	}
+
+	resp, body = post(t, srv, "/query", QueryRequest{Query: query, Stream: true})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("NDJSON status %d: %s", resp.StatusCode, body)
+	}
+	lines := strings.Split(strings.TrimSpace(string(body)), "\n")
+	if len(lines) < 2 || !strings.Contains(lines[0], `"streaming":true`) {
+		t.Fatalf("NDJSON response is not a stream: %s", body)
+	}
+	var rows [][]any
+	for _, line := range lines[1 : len(lines)-1] {
+		var row []any
+		if err := json.Unmarshal([]byte(line), &row); err != nil {
+			t.Fatalf("NDJSON row %q: %v", line, err)
+		}
+		rows = append(rows, row)
+	}
+	sortRows(rows)
+	if !reflect.DeepEqual(rows, want) {
+		t.Fatalf("NDJSON rows = %v, want %v", rows, want)
 	}
 }

@@ -386,3 +386,37 @@ func TestStreamLimit(t *testing.T) {
 		t.Fatalf("LIMIT 10 streamed %d rows", len(rows))
 	}
 }
+
+// TestStreamedCursorDuplicateIDs pins the dedup rule through a streamed
+// cursor: vertices 0 and 1 share id 7, so the three matches of
+// (a)-[:k]->(b) project to two distinct rows, as on the materialized path.
+func TestStreamedCursorDuplicateIDs(t *testing.T) {
+	b := graph.NewBuilder(4)
+	for v := 0; v < 4; v++ {
+		b.SetLabel(graph.VertexID(v), "P")
+	}
+	b.AddEdge("k", 0, 2)
+	b.AddEdge("k", 1, 2)
+	b.AddEdge("k", 2, 3)
+	b.SetProp("id", graph.Int64Column{7, 7, 8, 9})
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := NewService(engine.New(g, engine.Options{}), Options{})
+	sess := svc.OpenSession("test")
+	defer sess.Close()
+	cur, err := sess.Run(context.Background(), `MATCH (a:P)-[:k]->(b:P) RETURN a, b`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !cur.Streaming() {
+		t.Fatal("plain projection should stream")
+	}
+	got := drain(t, cur)
+	sortRows(got)
+	want := [][]any{{int64(7), int64(8)}, {int64(8), int64(9)}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("streamed rows = %v, want %v", got, want)
+	}
+}

@@ -68,6 +68,11 @@ go test ./...
 step "go test -race ./..."
 go test -race ./...
 
+step "servebench module (go vet, go test)"
+# servebench is its own module (replace repro => ../), so the root ./...
+# never builds it; vet and test it here so API changes it calls surface.
+(cd servebench && go vet ./... && go test .)
+
 if [ -z "${SKIP_FUZZ:-}" ]; then
     step "fuzz smoke (${FUZZTIME} each)"
     go test -run='^$' -fuzz=FuzzCypherParse -fuzztime="$FUZZTIME" ./internal/cypher
